@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/string_util.h"
 #include "common/telemetry/metrics.h"
@@ -13,22 +14,31 @@ namespace bench {
 
 namespace {
 
-int64_t EnvInt(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoll(value, nullptr, 10);
-}
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 
 }  // namespace
+
+int64_t EnvInt(const char* name, int64_t fallback, int64_t lo, int64_t hi) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  const Result<int64_t> parsed = ParseInt64(value, lo, hi, name);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    std::exit(2);
+  }
+  return parsed.ValueOrDie();
+}
 
 std::unique_ptr<World> BuildWorld() {
   Logger::InitFromEnv(LogLevel::kWarning);
   auto world = std::make_unique<World>();
-  world->config.num_customers =
-      static_cast<size_t>(EnvInt("TELCO_BENCH_CUSTOMERS", 12000));
+  world->config.num_customers = static_cast<size_t>(EnvInt(
+      "TELCO_BENCH_CUSTOMERS", 12000, 1, std::numeric_limits<int64_t>::max()));
   world->config.num_months =
-      static_cast<int>(EnvInt("TELCO_BENCH_MONTHS", 9));
-  world->config.seed = static_cast<uint64_t>(EnvInt("TELCO_BENCH_SEED", 2015));
+      static_cast<int>(EnvInt("TELCO_BENCH_MONTHS", 9, 1, kIntMax));
+  world->config.seed = static_cast<uint64_t>(
+      EnvInt("TELCO_BENCH_SEED", 2015, std::numeric_limits<int64_t>::min(),
+             std::numeric_limits<int64_t>::max()));
   Stopwatch sw;
   world->sim = std::make_unique<TelcoSimulator>(world->config);
   const Status st = world->sim->Run(&world->catalog);
@@ -50,7 +60,8 @@ size_t ScaledU(const World& world, double paper_u) {
 
 PipelineOptions DefaultPipelineOptions() {
   PipelineOptions options;
-  const int trees = static_cast<int>(EnvInt("TELCO_BENCH_TREES", 120));
+  const int trees =
+      static_cast<int>(EnvInt("TELCO_BENCH_TREES", 120, 1, kIntMax));
   options.model.rf.num_trees = trees;
   options.model.gbdt.num_trees = trees;
   return options;

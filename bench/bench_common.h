@@ -35,6 +35,11 @@ struct World {
 /// Reads env overrides and simulates the world (logs progress).
 std::unique_ptr<World> BuildWorld();
 
+/// Integer environment knob in [lo, hi], `fallback` when unset. A value
+/// that is not wholly an in-range integer prints the error and exits 2:
+/// a typo must not silently run a different experiment.
+int64_t EnvInt(const char* name, int64_t fallback, int64_t lo, int64_t hi);
+
 /// Scales one of the paper's top-U thresholds (e.g. 50000) to this run's
 /// population.
 size_t ScaledU(const World& world, double paper_u);

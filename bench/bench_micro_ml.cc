@@ -3,12 +3,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "graph/label_propagation.h"
 #include "graph/pagerank.h"
 #include "ml/gbdt.h"
+#include "ml/imbalance.h"
 #include "ml/random_forest.h"
 #include "text/lda.h"
 
@@ -204,6 +208,64 @@ void BM_GbdtScoreBatchBinned(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtScoreBatchBinned)->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Rows shaped like the churn wide table: ~140 columns mixing Gaussian,
+// mostly-zero count, small-integer and constant features, a ~10% churner
+// rate, and the pipeline's class weights (kWeightedInstance).
+Dataset PaperShapedData(size_t rows, size_t features, uint64_t seed) {
+  std::vector<std::string> names;
+  for (size_t j = 0; j < features; ++j) names.push_back(StrFormat("f%zu", j));
+  Dataset data(names);
+  Rng rng(seed);
+  std::vector<double> row(features);
+  for (size_t i = 0; i < rows; ++i) {
+    const double latent = rng.Gaussian();
+    const double signal = 0.8 * latent + 0.5 * rng.Gaussian();
+    for (size_t j = 0; j < features; ++j) {
+      const double shift = j < 20 ? signal : 0.0;
+      switch (j % 5) {
+        case 0: row[j] = rng.Gaussian() + shift; break;
+        case 1:
+          row[j] = rng.Bernoulli(0.7) ? 0.0 : rng.Exponential(0.2) + shift;
+          break;
+        case 2: row[j] = static_cast<double>(rng.UniformInt(5)); break;
+        case 3: row[j] = j == 3 ? 1.0 : rng.LogNormal(shift, 1.0); break;
+        default:
+          row[j] = static_cast<double>(rng.Poisson(2.0 + std::abs(shift)));
+      }
+    }
+    data.AddRow(row, latent > 1.28 ? 1 : 0);
+  }
+  auto weighted =
+      ApplyImbalanceStrategy(data, ImbalanceStrategy::kWeightedInstance, 1);
+  TELCO_CHECK(weighted.ok());
+  return std::move(weighted).ValueOrDie();
+}
+
+// The paper-shaped fit (the pipeline's forest on ~140 class-weighted
+// features, min split 50) on a pool of Arg threads; the per-commit gate
+// in scripts/bench_check.sh compares it with the committed baseline.
+// The gate reads the one-worker case only, whose rows/s do not depend
+// on how many cores the box running it has, and keeps the best of its
+// repetitions (one fit is a single sample of ~0.7 s). Registered after
+// the ScoreBatch family, so in the gate's process the scoring cases run
+// before the 22 MB matrix exists.
+void BM_RandomForestFitPaperShaped(benchmark::State& state) {
+  static const Dataset* const data =
+      new Dataset(PaperShapedData(20000, 140, 5));
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  RandomForestOptions options;
+  options.num_trees = 32;
+  options.min_samples_split = 50;
+  options.pool = &pool;
+  for (auto _ : state) {
+    RandomForest forest(options);
+    benchmark::DoNotOptimize(forest.Fit(*data));
+  }
+  state.SetItemsProcessed(state.iterations() * data->num_rows());
+}
+BENCHMARK(BM_RandomForestFitPaperShaped)->Arg(1)->Arg(4)->Repetitions(3)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Tree fitting across a pool; Arg = worker threads.
 void BM_RandomForestFitParallel(benchmark::State& state) {

@@ -41,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -220,14 +221,21 @@ Result<ScaleBenchOptions> ParseArgs(int argc, char** argv) {
         options.scale_factors.push_back(sf);
       }
     } else if (arg == "--months") {
+      // At least 2: the pipeline trains on a month labelled by the next.
       TELCO_ASSIGN_OR_RETURN(const std::string v, next());
-      options.months = std::atoi(v.c_str());
+      TELCO_ASSIGN_OR_RETURN(
+          options.months,
+          ParseInt64(v, 2, std::numeric_limits<int>::max(), arg));
     } else if (arg == "--trees") {
       TELCO_ASSIGN_OR_RETURN(const std::string v, next());
-      options.trees = std::atoi(v.c_str());
+      TELCO_ASSIGN_OR_RETURN(
+          options.trees,
+          ParseInt64(v, 1, std::numeric_limits<int>::max(), arg));
     } else if (arg == "--seed") {
       TELCO_ASSIGN_OR_RETURN(const std::string v, next());
-      options.seed = std::strtoull(v.c_str(), nullptr, 10);
+      TELCO_ASSIGN_OR_RETURN(
+          options.seed,
+          ParseInt64(v, 0, std::numeric_limits<int64_t>::max(), arg));
     } else if (arg == "--gen-only") {
       options.gen_only = true;
     } else if (arg == "--assert-rss-mb") {
@@ -238,9 +246,6 @@ Result<ScaleBenchOptions> ParseArgs(int argc, char** argv) {
     }
   }
   if (options.scale_factors.empty()) options.scale_factors.push_back(0.1);
-  if (options.months < 2) {
-    return Status::InvalidArgument("--months must be >= 2 (need a label)");
-  }
   return options;
 }
 

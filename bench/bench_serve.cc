@@ -30,6 +30,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -50,11 +51,9 @@ namespace telco {
 namespace bench {
 namespace {
 
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoll(value, nullptr, 10);
-}
+// Thread and connection counts a bench knob may ask for.
+constexpr int64_t kMaxWorkers = 256;
+constexpr int64_t kMaxCount = std::numeric_limits<int32_t>::max();
 
 double SortedQuantile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -91,16 +90,17 @@ Result<TcpBenchStats> RunTcpBench(
 
   TcpServerOptions tcp_options;
   tcp_options.readers =
-      static_cast<size_t>(EnvInt64("TELCO_BENCH_SERVE_READERS", 2));
+      static_cast<size_t>(EnvInt("TELCO_BENCH_SERVE_READERS", 2, 1,
+                                 kMaxWorkers));
   TcpScoringServer server(&router, tcp_options);
   TELCO_RETURN_NOT_OK(server.Start());
   const int port = server.port();
 
   TcpBenchStats stats;
   stats.clients = static_cast<size_t>(
-      std::max<int64_t>(1, EnvInt64("TELCO_BENCH_SERVE_TCP_CLIENTS", 4)));
+      EnvInt("TELCO_BENCH_SERVE_TCP_CLIENTS", 4, 1, kMaxWorkers));
   const size_t rounds = static_cast<size_t>(
-      std::max<int64_t>(1, EnvInt64("TELCO_BENCH_SERVE_ROUNDS", 4)));
+      EnvInt("TELCO_BENCH_SERVE_ROUNDS", 4, 1, kMaxCount));
   const size_t rows = data.num_rows();
   stats.requests = rows * rounds;
 
@@ -333,15 +333,15 @@ Status RunBench() {
   registry.Publish(snapshot_v1);  // keep a ref for the TCP parity phase
 
   ScoringExecutorOptions exec_options;
-  exec_options.max_batch_size =
-      static_cast<size_t>(EnvInt64("TELCO_BENCH_SERVE_BATCH", 64));
+  exec_options.max_batch_size = static_cast<size_t>(
+      EnvInt("TELCO_BENCH_SERVE_BATCH", 64, 0, kMaxCount));
   exec_options.pool = pipeline.pool();
   ScoringExecutor executor(&registry, exec_options);
 
-  const size_t clients =
-      static_cast<size_t>(EnvInt64("TELCO_BENCH_SERVE_CLIENTS", 4));
-  const size_t rounds =
-      static_cast<size_t>(EnvInt64("TELCO_BENCH_SERVE_ROUNDS", 4));
+  const size_t clients = static_cast<size_t>(
+      EnvInt("TELCO_BENCH_SERVE_CLIENTS", 4, 1, kMaxWorkers));
+  const size_t rounds = static_cast<size_t>(
+      EnvInt("TELCO_BENCH_SERVE_ROUNDS", 4, 1, kMaxCount));
   const size_t rows = data.num_rows();
   const size_t total_requests = rows * rounds;
 

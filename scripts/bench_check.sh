@@ -1,11 +1,13 @@
 #!/bin/sh
-# Bench regression gate: re-runs the serve throughput bench and the
+# Bench regression gate: re-runs the serve throughput bench, the
 # batch-scoring micro benches (pointer walk, flat engine, binned
 # engine — every ScoreBatch key in the committed baseline is gated,
-# so the binned-vs-flat gap cannot silently erode), then fails if any
-# number drops more than 10% below the committed baselines in
-# bench/baselines/. Registered in ctest under the `slow` label, so it
-# runs in the full suite and CI but stays out of `ctest -LE slow`.
+# so the binned-vs-flat gap cannot silently erode) and the paper-shaped
+# random-forest fit on one worker (a multi-worker fit baseline would
+# only hold on a box with that many cores), then fails if any number
+# drops more than 10% below the committed baselines in bench/baselines/.
+# Registered in ctest under the `slow` label, so it runs in the full
+# suite and CI but stays out of `ctest -LE slow`.
 #
 # Usage: scripts/bench_check.sh [build-dir]
 # Env:   TELCO_BENCH_TOLERANCE  minimum allowed new/baseline ratio
@@ -124,10 +126,11 @@ compare_latency "serve.request_total_p99_ms" "$total_p99_best" \
   "$(jq -r '.config.request_total_p99_ms // empty' \
     "$BASELINE_DIR/BENCH_serve.json")"
 
-echo "== bench_micro_ml (pointer vs flat vs binned scoring, best of $RUNS) =="
+echo "== bench_micro_ml (scoring engines and forest fit, best of $RUNS) =="
 i=0
 while [ "$i" -lt "$RUNS" ]; do
-  "$BUILD_DIR/bench/bench_micro_ml" --benchmark_filter='ScoreBatch' \
+  "$BUILD_DIR/bench/bench_micro_ml" \
+    --benchmark_filter='ScoreBatch|FitPaperShaped/1/' \
     --benchmark_format=json --benchmark_min_time=0.2 \
     > "$TMP_DIR/micro.$i.json" 2> "$TMP_DIR/micro.err" \
     || { cat "$TMP_DIR/micro.err"; exit 1; }

@@ -9,6 +9,7 @@
 #ifndef TELCO_COMMON_RNG_H_
 #define TELCO_COMMON_RNG_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -214,18 +215,21 @@ class Rng {
   /// returns all of [0, n) in order.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k) {
     std::vector<size_t> out;
-    if (k >= n) {
-      out.resize(n);
-      for (size_t i = 0; i < n; ++i) out[i] = i;
-      return out;
-    }
-    out.reserve(k);
-    for (size_t i = 0; i < k; ++i) out.push_back(i);
+    SampleWithoutReplacement(n, k, &out);
+    return out;
+  }
+
+  /// The same sample (same draws) written into `out`, reusing its
+  /// capacity.
+  void SampleWithoutReplacement(size_t n, size_t k,
+                                std::vector<size_t>* out) {
+    const size_t m = std::min(n, k);
+    out->resize(m);
+    for (size_t i = 0; i < m; ++i) (*out)[i] = i;
     for (size_t i = k; i < n; ++i) {
       const size_t j = UniformInt(static_cast<uint64_t>(i) + 1);
-      if (j < k) out[j] = i;
+      if (j < k) (*out)[j] = i;
     }
-    return out;
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -49,6 +50,26 @@ std::string ToLower(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+Result<int64_t> ParseInt64(std::string_view text, int64_t lo, int64_t hi,
+                           std::string_view name) {
+  int64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec == std::errc::invalid_argument || ptr != end) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s expects an integer, got '%.*s'", static_cast<int>(name.size()),
+        name.data(), static_cast<int>(text.size()), text.data()));
+  }
+  if (ec == std::errc::result_out_of_range || value < lo || value > hi) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s must be in [%lld, %lld], got '%.*s'",
+        static_cast<int>(name.size()), name.data(),
+        static_cast<long long>(lo), static_cast<long long>(hi),
+        static_cast<int>(text.size()), text.data()));
+  }
+  return value;
 }
 
 std::string StrFormat(const char* fmt, ...) {

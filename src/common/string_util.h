@@ -3,9 +3,12 @@
 #ifndef TELCO_COMMON_STRING_UTIL_H_
 #define TELCO_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/result.h"
 
 namespace telco {
 
@@ -24,6 +27,13 @@ std::string ToLower(std::string_view text);
 
 /// True iff `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses all of `text` as a base-10 integer in [lo, hi]. Empty text,
+/// trailing characters ("12k", "0x"), a leading '+' or whitespace, and
+/// out-of-range values are InvalidArgument errors whose message starts
+/// with `name` (e.g. "--customers").
+Result<int64_t> ParseInt64(std::string_view text, int64_t lo, int64_t hi,
+                           std::string_view name);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -5,36 +5,58 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace telco {
 
-Result<FeatureBinner> FeatureBinner::Fit(const Dataset& data, int max_bins) {
+namespace {
+
+// Rows per EncodeBins task.
+constexpr size_t kEncodeRows = 1024;
+
+// Quantile edges of one feature from its values in row order (sorted
+// in place).
+std::vector<double> QuantileEdges(std::vector<double>& values,
+                                  int max_bins) {
+  std::sort(values.begin(), values.end());
+  std::vector<double> edges;
+  // Candidate edges at the quantile cut points; dedupe so constant or
+  // few-valued features get fewer (possibly zero) edges.
+  for (int b = 1; b < max_bins; ++b) {
+    const double pos = static_cast<double>(b) /
+                       static_cast<double>(max_bins) *
+                       static_cast<double>(values.size() - 1);
+    const double edge = values[static_cast<size_t>(pos)];
+    if (edges.empty() || edge > edges.back()) edges.push_back(edge);
+  }
+  // Drop a trailing edge equal to the max so the last bin is non-empty.
+  while (!edges.empty() && edges.back() >= values.back()) edges.pop_back();
+  return edges;
+}
+
+}  // namespace
+
+Result<FeatureBinner> FeatureBinner::Fit(const Dataset& data, int max_bins,
+                                         ThreadPool* pool) {
   if (max_bins < 2 || max_bins > 256) {
     return Status::InvalidArgument("max_bins must be in [2, 256]");
   }
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("cannot fit binner on empty dataset");
   }
+  const size_t n = data.num_rows();
+  const size_t f = data.num_features();
   FeatureBinner binner;
-  binner.edges_.resize(data.num_features());
-  std::vector<double> values(data.num_rows());
-  for (size_t j = 0; j < data.num_features(); ++j) {
-    for (size_t r = 0; r < data.num_rows(); ++r) values[r] = data.At(r, j);
-    std::sort(values.begin(), values.end());
-    auto& edges = binner.edges_[j];
-    edges.clear();
-    // Candidate edges at the quantile cut points; dedupe so constant or
-    // few-valued features get fewer (possibly zero) edges.
-    for (int b = 1; b < max_bins; ++b) {
-      const double pos = static_cast<double>(b) /
-                         static_cast<double>(max_bins) *
-                         static_cast<double>(values.size() - 1);
-      const double edge = values[static_cast<size_t>(pos)];
-      if (edges.empty() || edge > edges.back()) edges.push_back(edge);
+  binner.edges_.resize(f);
+  // One task per feature, each gathering its own column: a worker holds
+  // one num_rows buffer, never a transposed copy of the matrix.
+  RunParallelChunks(pool, 0, f, f, [&](size_t, size_t lo, size_t hi) {
+    std::vector<double> values(n);
+    for (size_t j = lo; j < hi; ++j) {
+      for (size_t r = 0; r < n; ++r) values[r] = data.At(r, j);
+      binner.edges_[j] = QuantileEdges(values, max_bins);
     }
-    // Drop a trailing edge equal to the max so the last bin is non-empty.
-    while (!edges.empty() && edges.back() >= values.back()) edges.pop_back();
-  }
+  });
   return binner;
 }
 
@@ -45,20 +67,25 @@ uint8_t FeatureBinner::BinOf(size_t j, double v) const {
   return static_cast<uint8_t>(it - edges.begin());
 }
 
-BinnedDataset EncodeBins(const FeatureBinner& binner, const Dataset& data) {
+BinnedDataset EncodeBins(const FeatureBinner& binner, const Dataset& data,
+                         ThreadPool* pool) {
   TELCO_CHECK(binner.num_features() == data.num_features());
   BinnedDataset out;
   out.binner = &binner;
   out.num_rows = data.num_rows();
   out.num_features = data.num_features();
   out.codes.resize(out.num_rows * out.num_features);
-  for (size_t r = 0; r < out.num_rows; ++r) {
-    const auto row = data.Row(r);
-    uint8_t* dst = &out.codes[r * out.num_features];
-    for (size_t j = 0; j < out.num_features; ++j) {
-      dst[j] = binner.BinOf(j, row[j]);
+  const size_t n = out.num_rows;
+  const size_t chunks = (n + kEncodeRows - 1) / kEncodeRows;
+  RunParallelChunks(pool, 0, n, chunks, [&](size_t, size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) {
+      const auto row = data.Row(r);
+      uint8_t* dst = out.codes.data() + r;
+      for (size_t j = 0; j < out.num_features; ++j) {
+        dst[j * n] = binner.BinOf(j, row[j]);
+      }
     }
-  }
+  });
   return out;
 }
 

@@ -2,7 +2,8 @@
 //
 // Three consumers:
 //  * the tree learners use BinnedDataset codes for fast histogram split
-//    search (each feature quantised to <= max_bins levels);
+//    search (each feature quantised to <= max_bins levels, stored
+//    feature-major so a histogram pass reads one contiguous column);
 //  * the linear models use QuantileOneHotEncoder to produce the "discrete
 //    binary features by preprocessing the original continuous feature
 //    values" that the paper feeds LIBLINEAR and LIBFM (Section 5.8);
@@ -25,11 +26,17 @@
 
 namespace telco {
 
+class ThreadPool;
+
 /// \brief Per-feature quantile bin edges fitted on a training set.
 class FeatureBinner {
  public:
-  /// Fits up to `max_bins` quantile bins per feature (max 256).
-  static Result<FeatureBinner> Fit(const Dataset& data, int max_bins = 64);
+  /// Fits up to `max_bins` quantile bins per feature (max 256), one
+  /// feature per task on `pool` (null = inline); each feature's edges
+  /// come from its column in row order, so they do not depend on the
+  /// pool.
+  static Result<FeatureBinner> Fit(const Dataset& data, int max_bins = 64,
+                                   ThreadPool* pool = nullptr);
 
   size_t num_features() const { return edges_.size(); }
 
@@ -50,19 +57,30 @@ class FeatureBinner {
 };
 
 /// \brief A dataset's feature matrix quantised through a FeatureBinner.
+///
+/// Codes are feature-major: a split search that histograms a few sampled
+/// features over a node's rows reads one num_rows-byte column per
+/// feature instead of striding across every row's full code record.
 struct BinnedDataset {
   const FeatureBinner* binner = nullptr;
   size_t num_rows = 0;
   size_t num_features = 0;
-  std::vector<uint8_t> codes;  // row-major
+  std::vector<uint8_t> codes;  // feature-major: [feature * num_rows + row]
+
+  /// The codes of one feature, indexed by row.
+  const uint8_t* Column(size_t feature) const {
+    return codes.data() + feature * num_rows;
+  }
 
   uint8_t Code(size_t row, size_t feature) const {
-    return codes[row * num_features + feature];
+    return Column(feature)[row];
   }
 };
 
-/// \brief Encodes a dataset through a fitted binner.
-BinnedDataset EncodeBins(const FeatureBinner& binner, const Dataset& data);
+/// \brief Encodes a dataset through a fitted binner, in row chunks on
+/// `pool` (null = inline); every code is independent of the pool.
+BinnedDataset EncodeBins(const FeatureBinner& binner, const Dataset& data,
+                         ThreadPool* pool = nullptr);
 
 /// \brief Per-feature sorted split-threshold edges compiled from a fitted
 /// ensemble — the code book of the binned inference engine.

@@ -13,6 +13,12 @@
 //
 // Both operate on a BinnedDataset (quantile codes) for O(bins) split
 // scans, while prediction uses raw double rows against stored thresholds.
+//
+// ClassificationTree fits out of one scratch area per tree (DESIGN.md
+// §16): a node owns a [begin, end) range of one row-index array, and a
+// split partitions that range stably in place, so every node sees its
+// rows in the order a fresh per-node copy would have had and every
+// floating-point sum runs in the same order.
 
 #ifndef TELCO_ML_DECISION_TREE_H_
 #define TELCO_ML_DECISION_TREE_H_
@@ -88,8 +94,11 @@ class ClassificationTree {
     int32_t proba_offset = -1;  // leaf: offset into leaf_proba_
   };
 
+  struct Scratch;
+
+  // Grows the subtree over scratch->rows[begin, end).
   size_t BuildNode(const BinnedDataset& binned, const Dataset& data,
-                   std::vector<size_t>& node_indices, int depth,
+                   Scratch* scratch, size_t begin, size_t end, int depth,
                    const TreeOptions& options, Rng* rng,
                    std::vector<double>* importance, double total_weight);
 

@@ -24,9 +24,32 @@ Status RandomForest::Fit(const Dataset& data) {
     return Status::InvalidArgument("num_trees must be >= 1");
   }
   num_classes_ = data.NumClasses();
-  TELCO_ASSIGN_OR_RETURN(const FeatureBinner binner,
-                         FeatureBinner::Fit(data, 64));
-  const BinnedDataset binned = EncodeBins(binner, data);
+
+  static const Counter trees_fitted =
+      MetricsRegistry::Global().GetCounter("ml.rf.trees_fitted");
+  static const Counter nodes_total =
+      MetricsRegistry::Global().GetCounter("ml.rf.nodes");
+  static const Histogram tree_fit_seconds =
+      MetricsRegistry::Global().GetHistogram("ml.rf.tree_fit_seconds");
+  static const Histogram bin_seconds =
+      MetricsRegistry::Global().GetHistogram("ml.rf.bin_seconds");
+  TraceSpan fit_span(StrFormat("ml.rf.fit:%d_trees", options_.num_trees));
+
+  // Binning runs on the fit's pool too: features in blocks, codes in row
+  // chunks. Neither result depends on the pool.
+  ThreadPool* pool = nullptr;
+  if (options_.parallel) {
+    pool = options_.pool != nullptr ? options_.pool : &ThreadPool::Default();
+  }
+  FeatureBinner binner;
+  BinnedDataset binned;
+  {
+    TraceSpan bin_span("ml.rf.bin");
+    Stopwatch bin_watch;
+    TELCO_ASSIGN_OR_RETURN(binner, FeatureBinner::Fit(data, 64, pool));
+    binned = EncodeBins(binner, data, pool);
+    bin_seconds.Observe(bin_watch.ElapsedSeconds());
+  }
 
   TreeOptions tree_options;
   tree_options.max_depth = options_.max_depth;
@@ -46,14 +69,6 @@ Status RandomForest::Fit(const Dataset& data) {
   std::vector<std::vector<double>> per_tree_importance(
       options_.num_trees,
       std::vector<double>(data.num_features(), 0.0));
-
-  static const Counter trees_fitted =
-      MetricsRegistry::Global().GetCounter("ml.rf.trees_fitted");
-  static const Counter nodes_total =
-      MetricsRegistry::Global().GetCounter("ml.rf.nodes");
-  static const Histogram tree_fit_seconds =
-      MetricsRegistry::Global().GetHistogram("ml.rf.tree_fit_seconds");
-  TraceSpan fit_span(StrFormat("ml.rf.fit:%d_trees", options_.num_trees));
 
   Status first_error;
   std::mutex error_mutex;
@@ -78,13 +93,12 @@ Status RandomForest::Fit(const Dataset& data) {
     nodes_total.Add(trees_[t].num_nodes());
   };
 
-  if (options_.parallel) {
-    ThreadPool* pool =
-        options_.pool != nullptr ? options_.pool : &ThreadPool::Default();
-    pool->ParallelFor(0, trees_.size(), fit_tree);
-  } else {
-    for (size_t t = 0; t < trees_.size(); ++t) fit_tree(t);
-  }
+  // One task per tree: tree sizes vary, and a grid of multi-tree chunks
+  // leaves workers idle behind the last large chunk.
+  RunParallelChunks(pool, 0, trees_.size(), trees_.size(),
+                    [&](size_t, size_t lo, size_t hi) {
+                      for (size_t t = lo; t < hi; ++t) fit_tree(t);
+                    });
   TELCO_RETURN_NOT_OK(first_error);
   TELCO_ASSIGN_OR_RETURN(FlatForest flat, FlatForest::CompileAverage(trees_));
   flat_ = std::make_shared<const FlatForest>(std::move(flat));

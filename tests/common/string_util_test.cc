@@ -63,5 +63,37 @@ TEST(StringUtilTest, StrFormatLongOutput) {
   EXPECT_EQ(StrFormat("%s", long_str.c_str()).size(), 500u);
 }
 
+TEST(StringUtilTest, ParseInt64AcceptsWholeIntegersInRange) {
+  EXPECT_EQ(ParseInt64("12", 0, 100, "--n").ValueOrDie(), 12);
+  EXPECT_EQ(ParseInt64("-7", -10, 10, "--n").ValueOrDie(), -7);
+  EXPECT_EQ(ParseInt64("0", 0, 0, "--n").ValueOrDie(), 0);
+  EXPECT_EQ(ParseInt64("9223372036854775807", 0, INT64_MAX, "--n")
+                .ValueOrDie(),
+            INT64_MAX);
+}
+
+TEST(StringUtilTest, ParseInt64RejectsPartialAndMalformedText) {
+  for (const char* text : {"12k", "0x", "0x10", "", " 5", "5 ", "+5", "1.5",
+                           "--3", "abc"}) {
+    const auto parsed = ParseInt64(text, INT64_MIN, INT64_MAX, "--customers");
+    ASSERT_FALSE(parsed.ok()) << "'" << text << "'";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument());
+    EXPECT_EQ(parsed.status().message().rfind("--customers", 0), 0u)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(StringUtilTest, ParseInt64RejectsOutOfRange) {
+  EXPECT_TRUE(
+      ParseInt64("-1", 1, 100, "--trees").status().IsInvalidArgument());
+  EXPECT_TRUE(
+      ParseInt64("101", 1, 100, "--trees").status().IsInvalidArgument());
+  const auto overflow =
+      ParseInt64("99999999999999999999", INT64_MIN, INT64_MAX, "X");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.status().message().find("must be in"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace telco

@@ -1,10 +1,16 @@
 #include "ml/binning.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "ml_test_util.h"
 
 namespace telco {
@@ -81,6 +87,58 @@ TEST(EncodeBinsTest, ShapeAndRange) {
       EXPECT_LT(binned.Code(r, j), binner->NumBins(j));
       EXPECT_EQ(binned.Code(r, j), binner->BinOf(j, data.At(r, j)));
     }
+  }
+}
+
+// A wide matrix (more features than one gather block, rows spanning
+// several encode chunks) with ties, a constant column and -0.0/0.0.
+Dataset WideTestData() {
+  std::vector<std::string> names;
+  for (int j = 0; j < 21; ++j) names.push_back(StrFormat("f%d", j));
+  Dataset data(names);
+  Rng rng(29);
+  std::vector<double> row(names.size());
+  for (int i = 0; i < 2600; ++i) {
+    for (size_t j = 0; j < row.size(); ++j) {
+      switch (j % 4) {
+        case 0: row[j] = rng.Gaussian(); break;
+        case 1: row[j] = rng.Bernoulli(0.6) ? (i % 2 ? -0.0 : 0.0)
+                                            : rng.Exponential(1.0);
+          break;
+        case 2: row[j] = static_cast<double>(rng.UniformInt(7)); break;
+        default: row[j] = 5.0;
+      }
+    }
+    data.AddRow(row, i % 3 == 0 ? 1 : 0);
+  }
+  return data;
+}
+
+TEST(FeatureBinnerTest, PoolSizeDoesNotChangeEdgesOrCodes) {
+  const Dataset data = WideTestData();
+  auto serial = FeatureBinner::Fit(data, 64);
+  ASSERT_TRUE(serial.ok());
+  const BinnedDataset serial_codes = EncodeBins(*serial, data);
+  // Feature-major columns hold BinOf of every cell.
+  for (size_t j = 0; j < data.num_features(); ++j) {
+    const uint8_t* column = serial_codes.Column(j);
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      ASSERT_EQ(column[r], serial->BinOf(j, data.At(r, j)));
+    }
+  }
+  for (const size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    auto pooled = FeatureBinner::Fit(data, 64, &pool);
+    ASSERT_TRUE(pooled.ok());
+    for (size_t j = 0; j < data.num_features(); ++j) {
+      ASSERT_EQ(pooled->NumBins(j), serial->NumBins(j)) << "feature " << j;
+      for (int b = 0; b + 1 < serial->NumBins(j); ++b) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(pooled->UpperEdge(j, b)),
+                  std::bit_cast<uint64_t>(serial->UpperEdge(j, b)));
+      }
+    }
+    EXPECT_EQ(EncodeBins(*pooled, data, &pool).codes, serial_codes.codes)
+        << threads << " threads";
   }
 }
 

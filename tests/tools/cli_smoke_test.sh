@@ -39,6 +39,24 @@ if "$CLI" datagen --out "$WORKDIR/wh_bad" --scale-factor abc 2> /dev/null; then
   echo "non-numeric scale factor accepted"; exit 1
 fi
 
+# Integer flags must parse whole: "12k" is not 12 customers and "0x" is
+# not 0 trees. Each must fail with a message naming the flag.
+if "$CLI" simulate --out "$WORKDIR/wh_k" --customers 12k \
+    2> "$WORKDIR/err.txt"; then
+  echo "--customers 12k accepted"; exit 1
+fi
+grep -q -- "--customers" "$WORKDIR/err.txt" || {
+  echo "--customers error does not name the flag"; cat "$WORKDIR/err.txt"
+  exit 1; }
+test ! -e "$WORKDIR/wh_k/MANIFEST" || { echo "wrote a warehouse"; exit 1; }
+if "$CLI" evaluate --warehouse "$WORKDIR/wh" --month 3 --trees 0x \
+    2> "$WORKDIR/err.txt"; then
+  echo "--trees 0x accepted"; exit 1
+fi
+grep -q -- "--trees" "$WORKDIR/err.txt" || {
+  echo "--trees error does not name the flag"; cat "$WORKDIR/err.txt"
+  exit 1; }
+
 # Error handling: unknown flag and missing warehouse must fail.
 if "$CLI" evaluate --warehouse "$WORKDIR/wh" --month 3 --bogus 1 \
     2> /dev/null; then

@@ -52,6 +52,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -86,6 +87,13 @@ namespace telco {
 namespace {
 
 // ------------------------------------------------------------ flag parsing
+
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+// Upper bound of thread-count flags (the cap TELCO_THREADS also uses).
+constexpr int64_t kMaxThreads = 4096;
 
 class Flags {
  public:
@@ -124,11 +132,15 @@ class Flags {
     return it->second;
   }
 
-  int64_t GetInt(const std::string& name, int64_t fallback) {
+  // Integer flag in [lo, hi], `fallback` when absent. Text that is not
+  // wholly an integer ("12k", "0x") or is out of range fails with an
+  // InvalidArgument naming the flag.
+  Result<int64_t> GetInt(const std::string& name, int64_t fallback,
+                         int64_t lo, int64_t hi) {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     used_.insert(it->first);
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    return ParseInt64(it->second, lo, hi, "--" + name);
   }
 
   bool GetBool(const std::string& name) {
@@ -207,10 +219,12 @@ Status WriteTelemetryArtifacts(
 Status RunSimulate(Flags& flags) {
   TELCO_ASSIGN_OR_RETURN(const std::string out, flags.Required("out"));
   SimConfig config;
-  config.num_customers =
-      static_cast<size_t>(flags.GetInt("customers", 10000));
-  config.num_months = static_cast<int>(flags.GetInt("months", 9));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 2015));
+  TELCO_ASSIGN_OR_RETURN(config.num_customers,
+                         flags.GetInt("customers", 10000, 1, kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(config.num_months,
+                         flags.GetInt("months", 9, 1, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(config.seed,
+                         flags.GetInt("seed", 2015, kInt64Min, kInt64Max));
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
 
   Catalog catalog;
@@ -239,18 +253,17 @@ Status RunDatagen(Flags& flags) {
           "--scale-factor expects a number, got '" + scale + "'");
     }
   }
-  const std::string customers = flags.Get("customers", "");
-  if (!customers.empty()) {
-    const int64_t n = std::strtoll(customers.c_str(), nullptr, 10);
-    if (n < 1) {
-      return Status::InvalidArgument("--customers must be >= 1, got '" +
-                                     customers + "'");
-    }
-    config.num_customers = static_cast<size_t>(n);
-  }
-  config.num_months = static_cast<int>(flags.GetInt("months", 9));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 2015));
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  // Left at the default when absent, so --scale-factor decides.
+  TELCO_ASSIGN_OR_RETURN(
+      config.num_customers,
+      flags.GetInt("customers", static_cast<int64_t>(config.num_customers), 1,
+                   kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(config.num_months,
+                         flags.GetInt("months", 9, 1, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(config.seed,
+                         flags.GetInt("seed", 2015, kInt64Min, kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(const int64_t threads,
+                         flags.GetInt("threads", 0, 0, kMaxThreads));
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
 
   std::unique_ptr<ThreadPool> owned_pool;
@@ -285,15 +298,16 @@ Status LoadWarehouseFromFlag(Flags& flags, Catalog* catalog) {
   return Status::OK();
 }
 
-PipelineOptions PipelineOptionsFromFlags(Flags& flags) {
+Result<PipelineOptions> PipelineOptionsFromFlags(Flags& flags) {
   PipelineOptions options;
-  options.model.rf.num_trees =
-      static_cast<int>(flags.GetInt("trees", 120));
-  options.training_months =
-      static_cast<int>(flags.GetInt("training-months", 1));
+  TELCO_ASSIGN_OR_RETURN(options.model.rf.num_trees,
+                         flags.GetInt("trees", 120, 1, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(options.training_months,
+                         flags.GetInt("training-months", 1, 1, kIntMax));
   // 0 = the process-wide default pool (TELCO_THREADS or hardware
   // concurrency); results are identical for any value.
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 0));
+  TELCO_ASSIGN_OR_RETURN(options.num_threads,
+                         flags.GetInt("threads", 0, 0, kMaxThreads));
   return options;
 }
 
@@ -302,8 +316,10 @@ Status RunTrain(Flags& flags) {
   TELCO_RETURN_NOT_OK(LoadWarehouseFromFlag(flags, &catalog));
   TELCO_ASSIGN_OR_RETURN(const std::string model_path,
                          flags.Required("model"));
-  const int month = static_cast<int>(flags.GetInt("month", 0));
-  PipelineOptions options = PipelineOptionsFromFlags(flags);
+  TELCO_ASSIGN_OR_RETURN(const int month,
+                         flags.GetInt("month", 0, kIntMin, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(PipelineOptions options,
+                         PipelineOptionsFromFlags(flags));
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
   if (month < 1) {
     return Status::InvalidArgument("--month must be >= 1");
@@ -324,8 +340,10 @@ Status RunPredict(Flags& flags) {
   TELCO_RETURN_NOT_OK(LoadWarehouseFromFlag(flags, &catalog));
   TELCO_ASSIGN_OR_RETURN(const std::string model_path,
                          flags.Required("model"));
-  const int month = static_cast<int>(flags.GetInt("month", 0));
-  const size_t top = static_cast<size_t>(flags.GetInt("top", 50));
+  TELCO_ASSIGN_OR_RETURN(const int month,
+                         flags.GetInt("month", 0, kIntMin, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(const size_t top,
+                         flags.GetInt("top", 50, 0, kInt64Max));
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
   if (month < 1) return Status::InvalidArgument("--month must be >= 1");
 
@@ -377,21 +395,28 @@ Status RunServe(Flags& flags) {
   TELCO_ASSIGN_OR_RETURN(const std::string model_path,
                          flags.Required("model"));
   StdioServerOptions options;
-  options.executor.max_batch_size =
-      static_cast<size_t>(flags.GetInt("batch", 64));
-  options.executor.max_queue_depth =
-      static_cast<size_t>(flags.GetInt("queue", 1024));
-  options.window = static_cast<size_t>(flags.GetInt("window", 128));
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
-  const int64_t tcp_port = flags.GetInt("tcp-port", -1);
-  const int64_t readers = flags.GetInt("readers", 2);
-  const int64_t idle_timeout_s = flags.GetInt("idle-timeout-s", 300);
+  TELCO_ASSIGN_OR_RETURN(options.executor.max_batch_size,
+                         flags.GetInt("batch", 64, 0, kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(options.executor.max_queue_depth,
+                         flags.GetInt("queue", 1024, 0, kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(options.window,
+                         flags.GetInt("window", 128, 0, kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(const int64_t threads,
+                         flags.GetInt("threads", 0, 0, kMaxThreads));
+  TELCO_ASSIGN_OR_RETURN(const int64_t tcp_port,
+                         flags.GetInt("tcp-port", -1, -1, 65535));
+  TELCO_ASSIGN_OR_RETURN(const int64_t readers,
+                         flags.GetInt("readers", 2, 1, kMaxThreads));
+  TELCO_ASSIGN_OR_RETURN(const int64_t idle_timeout_s,
+                         flags.GetInt("idle-timeout-s", 300, 0, kIntMax));
   const std::string named_models = flags.Get("models", "");
   const std::string engine = flags.Get("engine", "");
-  const int64_t metrics_port = flags.GetInt("metrics-port", -1);
+  TELCO_ASSIGN_OR_RETURN(const int64_t metrics_port,
+                         flags.GetInt("metrics-port", -1, -1, 65535));
   const std::string stats_out = flags.Get("stats-out", "");
   const std::string stats_interval = flags.Get("stats-interval-s", "");
-  const int64_t trace_sample = flags.GetInt("trace-sample", 0);
+  TELCO_ASSIGN_OR_RETURN(const int64_t trace_sample,
+                         flags.GetInt("trace-sample", 0, 0, kInt64Max));
   const std::string trace_out = flags.Get("trace-out", "");
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
 
@@ -406,16 +431,10 @@ Status RunServe(Flags& flags) {
       return Status::InvalidArgument("--stats-interval-s must be > 0");
     }
   }
-  if (trace_sample < 0) {
-    return Status::InvalidArgument("--trace-sample must be >= 0");
-  }
   if (trace_sample > 0 && trace_out.empty()) {
     return Status::InvalidArgument(
         "--trace-sample needs --trace-out PATH (the trace recorder only "
         "runs when an export destination is set)");
-  }
-  if (metrics_port > 65535) {
-    return Status::InvalidArgument("--metrics-port must be in [0, 65535]");
   }
 
   if (!engine.empty()) {
@@ -491,12 +510,6 @@ Status RunServe(Flags& flags) {
     return finish(server.Run(std::cin, stdout));
   }
 
-  if (tcp_port > 65535) {
-    return Status::InvalidArgument("--tcp-port must be in [0, 65535]");
-  }
-  if (readers < 1) {
-    return Status::InvalidArgument("--readers must be >= 1");
-  }
   ModelRouterOptions router_options;
   router_options.executor = options.executor;
   ModelRouter router(router_options);
@@ -571,8 +584,10 @@ Status RunRequests(Flags& flags) {
   TELCO_RETURN_NOT_OK(LoadWarehouseFromFlag(flags, &catalog));
   TELCO_ASSIGN_OR_RETURN(const std::string model_path,
                          flags.Required("model"));
-  const int month = static_cast<int>(flags.GetInt("month", 0));
-  const size_t limit = static_cast<size_t>(flags.GetInt("limit", 0));
+  TELCO_ASSIGN_OR_RETURN(const int month,
+                         flags.GetInt("month", 0, kIntMin, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(const size_t limit,
+                         flags.GetInt("limit", 0, 0, kInt64Max));
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
   if (month < 1) return Status::InvalidArgument("--month must be >= 1");
 
@@ -613,9 +628,11 @@ Status RunEvaluate(Flags& flags) {
   // the trace and report cover storage I/O too.
   TELCO_ASSIGN_OR_RETURN(const std::string warehouse,
                          flags.Required("warehouse"));
-  const int month = static_cast<int>(flags.GetInt("month", 0));
-  PipelineOptions options = PipelineOptionsFromFlags(flags);
-  const size_t u = static_cast<size_t>(flags.GetInt("u", 250));
+  TELCO_ASSIGN_OR_RETURN(const int month,
+                         flags.GetInt("month", 0, kIntMin, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(const PipelineOptions options,
+                         PipelineOptionsFromFlags(flags));
+  TELCO_ASSIGN_OR_RETURN(const size_t u, flags.GetInt("u", 250, 0, kInt64Max));
   const bool print_timings = flags.GetBool("timings");
   const TelemetryFlags telemetry = TelemetryFlagsFrom(flags);
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
@@ -693,12 +710,15 @@ Status RunRun(Flags& flags) {
                          flags.Required("warehouse"));
   TELCO_ASSIGN_OR_RETURN(const std::string dir,
                          flags.Required("checkpoint-dir"));
-  const int month = static_cast<int>(flags.GetInt("month", 0));
-  const size_t u = static_cast<size_t>(flags.GetInt("u", 250));
-  const int training_months =
-      static_cast<int>(flags.GetInt("training-months", 1));
-  const int trees = static_cast<int>(flags.GetInt("trees", 120));
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  TELCO_ASSIGN_OR_RETURN(const int month,
+                         flags.GetInt("month", 0, kIntMin, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(const size_t u, flags.GetInt("u", 250, 0, kInt64Max));
+  TELCO_ASSIGN_OR_RETURN(const int training_months,
+                         flags.GetInt("training-months", 1, 1, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(const int trees,
+                         flags.GetInt("trees", 120, 1, kIntMax));
+  TELCO_ASSIGN_OR_RETURN(const int threads,
+                         flags.GetInt("threads", 0, 0, kMaxThreads));
   const TelemetryFlags telemetry = TelemetryFlagsFrom(flags);
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
   return RunCheckpointed(warehouse, dir, month, u, training_months, trees,
@@ -708,7 +728,8 @@ Status RunRun(Flags& flags) {
 Status RunResume(Flags& flags) {
   TELCO_ASSIGN_OR_RETURN(const std::string dir,
                          flags.Required("checkpoint-dir"));
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  TELCO_ASSIGN_OR_RETURN(const int threads,
+                         flags.GetInt("threads", 0, 0, kMaxThreads));
   const TelemetryFlags telemetry = TelemetryFlagsFrom(flags);
   TELCO_RETURN_NOT_OK(flags.CheckAllUsed());
   TELCO_ASSIGN_OR_RETURN(const std::string config,
@@ -730,12 +751,21 @@ Status RunResume(Flags& flags) {
           std::string("checkpoint CONFIG is missing '") + key + "'");
     }
   }
-  return RunCheckpointed(kv["warehouse"], dir,
-                         std::atoi(kv["month"].c_str()),
-                         static_cast<size_t>(std::atoll(kv["u"].c_str())),
-                         std::atoi(kv["training-months"].c_str()),
-                         std::atoi(kv["trees"].c_str()), threads, "resume",
-                         telemetry);
+  // The CONFIG was written by `run` from validated flags; a value that no
+  // longer parses means the file is damaged, not a different run.
+  TELCO_ASSIGN_OR_RETURN(
+      const int month,
+      ParseInt64(kv["month"], kIntMin, kIntMax, "checkpoint CONFIG month"));
+  TELCO_ASSIGN_OR_RETURN(
+      const size_t u, ParseInt64(kv["u"], 0, kInt64Max, "checkpoint CONFIG u"));
+  TELCO_ASSIGN_OR_RETURN(const int training_months,
+                         ParseInt64(kv["training-months"], 1, kIntMax,
+                                    "checkpoint CONFIG training-months"));
+  TELCO_ASSIGN_OR_RETURN(
+      const int trees,
+      ParseInt64(kv["trees"], 1, kIntMax, "checkpoint CONFIG trees"));
+  return RunCheckpointed(kv["warehouse"], dir, month, u, training_months,
+                         trees, threads, "resume", telemetry);
 }
 
 Status RunMetrics(Flags& flags) {

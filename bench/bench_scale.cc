@@ -213,11 +213,8 @@ Result<ScaleBenchOptions> ParseArgs(int argc, char** argv) {
       std::stringstream stream(list);
       std::string item;
       while (std::getline(stream, item, ',')) {
-        char* end = nullptr;
-        const double sf = std::strtod(item.c_str(), &end);
-        if (end == item.c_str() || *end != '\0' || !(sf > 0.0)) {
-          return Status::InvalidArgument("bad scale factor '" + item + "'");
-        }
+        TELCO_ASSIGN_OR_RETURN(const double sf,
+                               ParseDouble(item, 1e-4, 100.0, arg));
         options.scale_factors.push_back(sf);
       }
     } else if (arg == "--months") {
@@ -240,7 +237,8 @@ Result<ScaleBenchOptions> ParseArgs(int argc, char** argv) {
       options.gen_only = true;
     } else if (arg == "--assert-rss-mb") {
       TELCO_ASSIGN_OR_RETURN(const std::string v, next());
-      options.assert_rss_mb = std::strtod(v.c_str(), nullptr);
+      TELCO_ASSIGN_OR_RETURN(options.assert_rss_mb,
+                             ParseDouble(v, 1.0, 1e9, arg));
     } else {
       return Status::InvalidArgument("unknown flag " + arg);
     }

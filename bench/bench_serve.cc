@@ -36,7 +36,6 @@
 
 #include "bench_common.h"
 #include "common/string_util.h"
-#include "ml/binned_forest.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/run_report.h"
 #include "serve/model_router.h"
@@ -473,8 +472,6 @@ Status RunBench() {
   report.AddConfig("requests", StrFormat("%zu", total_requests));
   report.AddConfig("clients", StrFormat("%zu", clients));
   report.AddConfig("batch", StrFormat("%zu", exec_options.max_batch_size));
-  report.AddConfig("forest_engine",
-                   std::string(ForestEngineName(DefaultForestEngine())));
   report.AddConfig("throughput_per_sec", StrFormat("%0.1f", throughput));
   report.AddConfig("p50_ms", StrFormat("%0.4f", p50_ms));
   report.AddConfig("p99_ms", StrFormat("%0.4f", p99_ms));

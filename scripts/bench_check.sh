@@ -1,11 +1,12 @@
 #!/bin/sh
 # Bench regression gate: re-runs the serve throughput bench, the
-# batch-scoring micro benches (pointer walk, flat engine, binned
-# engine — every ScoreBatch key in the committed baseline is gated,
-# so the binned-vs-flat gap cannot silently erode) and the paper-shaped
+# batch-scoring micro benches (pointer walk and binned engine — every
+# ScoreBatch key in the committed baseline is gated, so the
+# binned-vs-pointer gap cannot silently erode), the paper-shaped
 # random-forest fit on one worker (a multi-worker fit baseline would
-# only hold on a box with that many cores), then fails if any number
-# drops more than 10% below the committed baselines in bench/baselines/.
+# only hold on a box with that many cores) and SF 0.1 streamed datagen,
+# then fails if any number drops more than 10% below the committed
+# baselines in bench/baselines/ (latency keys: see compare_latency).
 # Registered in ctest under the `slow` label, so it runs in the full
 # suite and CI but stays out of `ctest -LE slow`.
 #

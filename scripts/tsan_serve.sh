@@ -3,7 +3,7 @@
 # surfaces: the SnapshotRegistry publish/acquire path, the
 # ScoringExecutor's dispatcher + bounded queue (including the
 # swap-during-enqueue window, whose schema check moved to batch
-# dispatch), the flat-forest block scorer's pool fan-out, and the
+# dispatch), the binned-forest block scorer's pool fan-out, and the
 # offline/online parity suite's concurrent hot-swap test. A data race in
 # the hot-swap path fails CI here instead of corrupting a production
 # score.
@@ -20,7 +20,7 @@ cmake --build "$BUILD_DIR" \
     --target telco_serve_test telco_integration_test telco_ml_test \
     -j "$(nproc)"
 cd "$BUILD_DIR"
-ctest -R 'SnapshotRegistry|ScoringExecutor|ServeParity|FlatForest' \
+ctest -R 'SnapshotRegistry|ScoringExecutor|ServeParity|BinnedForest' \
     --output-on-failure -j "$(nproc)"
 
 # Hot-swap soak: hammer the executor's swap-during-enqueue test — the

@@ -5,8 +5,10 @@
 # executor completion callbacks racing reader-side flushes on the
 # per-connection slot queue, the ModelRouter's route creation under
 # concurrent Publish/Submit, and mid-stream named-model hot swaps while
-# multiple clients stream requests. A data race here corrupts response
-# ordering or a served score; TSan fails it in CI instead.
+# multiple clients stream requests, with batch scoring running
+# BinnedForest::PredictProbaInto on the pool workers. A data race here
+# corrupts response ordering or a served score; TSan fails it in CI
+# instead.
 #
 # Usage: scripts/tsan_tcp_serve.sh [build-dir]   (default: build-tsan)
 # The build dir is shared with tsan_serve.sh so CI pays for one
@@ -43,11 +45,3 @@ ctest -R 'TcpServeTest.ConcurrentNamedSwapStormKeepsBitParity|ModelRouterTest.In
 # all race the serving data plane here.
 ctest -R 'TcpServeTest.ObservabilitySoakUnderSwapStorm' \
     --output-on-failure --repeat until-fail:5
-
-# Same swap storm with the binned traversal engine forced on: batch
-# scoring now runs BinnedForest::PredictProbaInto on the pool workers,
-# so TSan checks the compiled edge-map/arena reads against concurrent
-# snapshot publishes too.
-TELCO_FOREST_ENGINE=binned \
-ctest -R 'TcpServeTest.ConcurrentNamedSwapStormKeepsBitParity|TcpServeTest.IdleReaperClosesStalledConnectionOnly' \
-    --output-on-failure --repeat until-fail:3

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -68,6 +69,26 @@ Result<int64_t> ParseInt64(std::string_view text, int64_t lo, int64_t hi,
         static_cast<int>(name.size()), name.data(),
         static_cast<long long>(lo), static_cast<long long>(hi),
         static_cast<int>(text.size()), text.data()));
+  }
+  return value;
+}
+
+Result<double> ParseDouble(std::string_view text, double lo, double hi,
+                           std::string_view name) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec == std::errc::invalid_argument || ptr != end ||
+      !std::isfinite(value)) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s expects a finite number, got '%.*s'",
+        static_cast<int>(name.size()), name.data(),
+        static_cast<int>(text.size()), text.data()));
+  }
+  if (ec == std::errc::result_out_of_range || value < lo || value > hi) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s must be in [%g, %g], got '%.*s'", static_cast<int>(name.size()),
+        name.data(), lo, hi, static_cast<int>(text.size()), text.data()));
   }
   return value;
 }

@@ -35,6 +35,13 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 Result<int64_t> ParseInt64(std::string_view text, int64_t lo, int64_t hi,
                            std::string_view name);
 
+/// Parses all of `text` as a finite decimal number in [lo, hi]. Empty
+/// text, trailing characters ("5x"), a leading '+' or whitespace, NaN,
+/// infinities, values beyond double range ("1e400") and out-of-range
+/// values are InvalidArgument errors whose message starts with `name`.
+Result<double> ParseDouble(std::string_view text, double lo, double hi,
+                           std::string_view name);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -106,8 +106,8 @@ Result<ThresholdEdgeMap> ThresholdEdgeMap::Build(
     // because `v <= -0.0` and `v <= 0.0` agree for every v.
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     // Codes (and the NaN sentinel = edge count) must fit uint16; wider
-    // features would truncate, so refuse and let the caller keep the
-    // exact engine.
+    // features would truncate, so refuse and let the caller fall back to
+    // the pointer walk.
     if (edges.size() > 0xFFFF) {
       return Status::InvalidArgument(StrFormat(
           "feature %zu has %zu distinct split thresholds; binned codes "

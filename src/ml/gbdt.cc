@@ -92,22 +92,15 @@ Status Gbdt::Fit(const Dataset& data) {
     trees_.push_back(std::move(tree));
   }
   TELCO_ASSIGN_OR_RETURN(
-      FlatForest flat,
-      FlatForest::CompileMargin(trees_, base_margin_,
-                                options_.learning_rate));
-  flat_ = std::make_shared<const FlatForest>(std::move(flat));
-  binned_ = CompileBinnedOrNull(*flat_);
+      binned_, BinnedForest::CompileMargin(trees_, base_margin_,
+                                           options_.learning_rate));
   return Status::OK();
 }
 
 std::vector<double> Gbdt::PredictProbaBatch(FeatureMatrix rows,
                                             ThreadPool* pool) const {
-  if (binned_ != nullptr &&
-      DefaultForestEngine() == ForestEngine::kBinned) {
-    return binned_->PredictProba(rows, pool);
-  }
-  if (flat_ == nullptr) return Classifier::PredictProbaBatch(rows, pool);
-  return flat_->PredictProba(rows, pool);
+  if (binned_ == nullptr) return Classifier::PredictProbaBatch(rows, pool);
+  return binned_->PredictProba(rows, pool);
 }
 
 double Gbdt::PredictMargin(std::span<const double> row) const {

@@ -11,7 +11,6 @@
 #include "ml/binned_forest.h"
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
-#include "ml/flat_forest.h"
 
 namespace telco {
 
@@ -36,10 +35,9 @@ class Gbdt final : public Classifier {
 
   Status Fit(const Dataset& data) override;
   double PredictProba(std::span<const double> row) const override;
-  /// Batch scoring through a compiled engine — binned integer compares
-  /// when DefaultForestEngine() selects it (the default) and the model
-  /// binned, else the exact flat engine; both bit-identical to the
-  /// per-row pointer walk, much faster.
+  /// Batch scoring through the binned engine: bit-identical to the
+  /// per-row pointer walk, much faster. A model that could not be binned
+  /// scores through the pointer walk.
   std::vector<double> PredictProbaBatch(FeatureMatrix rows,
                                         ThreadPool* pool) const override;
   using Classifier::PredictProbaBatch;
@@ -48,10 +46,8 @@ class Gbdt final : public Classifier {
   size_t num_trees() const { return trees_.size(); }
   const std::vector<RegressionTree>& trees() const { return trees_; }
   double base_margin() const { return base_margin_; }
-  /// The exact compiled engine (null only before a successful fit).
-  const FlatForest* flat() const { return flat_.get(); }
   /// The binned integer-compare engine (null before a fit, or when the
-  /// model cannot be binned — scoring then stays on the exact engine).
+  /// model cannot be binned — batch scoring then walks the trees).
   const BinnedForest* binned() const { return binned_.get(); }
 
  private:
@@ -61,7 +57,6 @@ class Gbdt final : public Classifier {
   double base_margin_ = 0.0;
   std::vector<RegressionTree> trees_;
   // Shared so copies of a fitted model reuse one compiled arena.
-  std::shared_ptr<const FlatForest> flat_;
   std::shared_ptr<const BinnedForest> binned_;
 };
 

@@ -12,7 +12,6 @@
 #include "ml/binned_forest.h"
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
-#include "ml/flat_forest.h"
 
 namespace telco {
 
@@ -43,17 +42,11 @@ class RandomForest final : public Classifier {
 
   Status Fit(const Dataset& data) override;
   double PredictProba(std::span<const double> row) const override;
-  /// Batch scoring through a compiled engine — the binned
-  /// integer-compare engine when DefaultForestEngine() selects it (the
-  /// default) and it compiled, else the exact flat engine. Both are
-  /// bit-identical to the per-row pointer walk, much faster.
+  /// Batch scoring through the binned engine: bit-identical to the
+  /// per-row pointer walk, much faster. A forest that could not be
+  /// binned scores through the pointer walk.
   std::vector<double> PredictProbaBatch(FeatureMatrix rows,
                                         ThreadPool* pool) const override;
-  /// Explicit-engine flavour (per-route serving): kBinned scores through
-  /// the binned engine when it compiled, kExact through the flat engine;
-  /// both fall back gracefully and stay bit-identical.
-  std::vector<double> PredictProbaBatch(FeatureMatrix rows, ThreadPool* pool,
-                                        ForestEngine engine) const;
   using Classifier::PredictProbaBatch;
   std::vector<double> PredictClassProba(
       std::span<const double> row) const override;
@@ -70,10 +63,8 @@ class RandomForest final : public Classifier {
 
   /// Serialization access (ml/serialize).
   const std::vector<ClassificationTree>& trees() const { return trees_; }
-  /// The exact compiled engine (null only before a successful fit).
-  const FlatForest* flat() const { return flat_.get(); }
   /// The binned integer-compare engine (null before a fit, or when the
-  /// forest cannot be binned — scoring then stays on the exact engine).
+  /// forest cannot be binned — batch scoring then walks the trees).
   const BinnedForest* binned() const { return binned_.get(); }
   /// Rebuilds a fitted forest from deserialized parts.
   static Result<RandomForest> FromParts(RandomForestOptions options,
@@ -86,7 +77,6 @@ class RandomForest final : public Classifier {
   std::vector<ClassificationTree> trees_;
   std::vector<double> importance_;
   // Shared so copies of a fitted forest reuse one compiled arena.
-  std::shared_ptr<const FlatForest> flat_;
   std::shared_ptr<const BinnedForest> binned_;
   int num_classes_ = 2;
 };

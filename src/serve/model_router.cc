@@ -28,8 +28,7 @@ ModelRouter::Route* ModelRouter::FindRoute(const std::string& name) const {
 }
 
 uint64_t ModelRouter::Publish(const std::string& name,
-                              std::shared_ptr<const ModelSnapshot> snapshot,
-                              std::optional<ForestEngine> engine) {
+                              std::shared_ptr<const ModelSnapshot> snapshot) {
   static const Gauge route_count =
       MetricsRegistry::Global().GetGauge("serve.router.routes");
   Route* route;
@@ -41,13 +40,8 @@ uint64_t ModelRouter::Publish(const std::string& name,
       // quantiles ("" is shown as "default", matching the stats verb).
       ScoringExecutorOptions executor_options = options_.executor;
       executor_options.route_name = name.empty() ? "default" : name;
-      executor_options.engine = engine;
       slot = std::make_unique<Route>(executor_options);
       route_count.Set(static_cast<double>(routes_.size()));
-    } else if (engine.has_value()) {
-      // Republish with an explicit engine re-pins the existing route;
-      // nullopt leaves its current choice alone.
-      slot->executor.SetEngine(*engine);
     }
     route = slot.get();
   }
@@ -115,8 +109,6 @@ std::vector<ModelRouter::RouteStats> ModelRouter::Stats() const {
       entry.label = ref.snapshot->label();
       entry.fingerprint = ref.snapshot->fingerprint();
     }
-    entry.engine = ForestEngineName(
-        route->executor.engine().value_or(DefaultForestEngine()));
     entry.queue_depth = route->executor.queue_depth();
     entry.scored = route->executor.completed_requests();
     entry.rejected = route->executor.rejected_requests();

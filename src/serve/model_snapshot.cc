@@ -92,12 +92,6 @@ std::vector<double> ModelSnapshot::ScoreBatch(FeatureMatrix rows,
   return forest_.PredictProbaBatch(rows, pool);
 }
 
-std::vector<double> ModelSnapshot::ScoreBatch(FeatureMatrix rows,
-                                              ThreadPool* pool,
-                                              ForestEngine engine) const {
-  return forest_.PredictProbaBatch(rows, pool, engine);
-}
-
 std::vector<double> ModelSnapshot::ScoreBatch(const Dataset& rows,
                                               ThreadPool* pool) const {
   return ScoreBatch(rows.Matrix(), pool);

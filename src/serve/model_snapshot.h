@@ -63,17 +63,10 @@ class ModelSnapshot {
   double Score(std::span<const double> row) const;
 
   /// Batch scoring through the same entry point the offline pipeline
-  /// uses (Classifier::PredictProbaBatch, i.e. the compiled flat-forest
+  /// uses (Classifier::PredictProbaBatch, i.e. the compiled binned-forest
   /// engine), so online scores are bit-identical to offline ones for any
   /// batch split or thread count.
   std::vector<double> ScoreBatch(FeatureMatrix rows, ThreadPool* pool) const;
-
-  /// Explicit-engine flavour for per-route serving: the router can pin a
-  /// route to the exact flat engine or the binned integer-compare engine
-  /// instead of the process-wide default. Scores are bit-identical
-  /// either way.
-  std::vector<double> ScoreBatch(FeatureMatrix rows, ThreadPool* pool,
-                                 ForestEngine engine) const;
 
   /// Thin wrapper over the FeatureMatrix overload.
   std::vector<double> ScoreBatch(const Dataset& rows,

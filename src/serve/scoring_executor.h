@@ -7,7 +7,7 @@
 // ONCE per batch from the SnapshotRegistry, packs the rows into one
 // contiguous FeatureMatrix and scores it through the same batch entry
 // point the offline pipeline uses (Classifier::PredictProbaBatch — the
-// compiled flat-forest engine). One snapshot per batch means a
+// compiled binned-forest engine). One snapshot per batch means a
 // concurrent hot-swap can never produce a torn batch: every response
 // reports the snapshot version that scored it, and its score is
 // bit-identical to that snapshot's offline prediction. Schema (row
@@ -31,14 +31,12 @@
 #include <functional>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "common/telemetry/metrics.h"
-#include "ml/binned_forest.h"
 #include "serve/snapshot_registry.h"
 
 namespace telco {
@@ -96,11 +94,6 @@ struct ScoringExecutorOptions {
   /// records `serve.route.<route_name>.latency_seconds` (log-bucketed),
   /// so multi-model stats can report quantiles per route.
   std::string route_name;
-  /// Forest engine this executor scores with. Unset = follow the
-  /// process-wide DefaultForestEngine() at each batch; set = pinned
-  /// (per-route engine selection — one route can serve the exact flat
-  /// engine while another serves the binned one).
-  std::optional<ForestEngine> engine;
 };
 
 /// \brief Micro-batching scoring service core (in-process).
@@ -153,19 +146,6 @@ class ScoringExecutor {
   /// Requests refused at admission (full queue), per instance.
   uint64_t rejected_requests() const { return rejected_.load(); }
 
-  /// Pins (or re-pins) the scoring engine; takes effect from the next
-  /// batch. Thread-safe against concurrent dispatch.
-  void SetEngine(ForestEngine engine) {
-    engine_.store(static_cast<int>(engine), std::memory_order_relaxed);
-  }
-
-  /// The pinned engine, or nullopt when following the process default.
-  std::optional<ForestEngine> engine() const {
-    const int pinned = engine_.load(std::memory_order_relaxed);
-    if (pinned < 0) return std::nullopt;
-    return static_cast<ForestEngine>(pinned);
-  }
-
   const ScoringExecutorOptions& options() const { return options_; }
 
  private:
@@ -191,8 +171,6 @@ class ScoringExecutor {
 
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> rejected_{0};
-  /// Pinned ForestEngine as int, -1 = unset (follow the process default).
-  std::atomic<int> engine_{-1};
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  // dispatcher: work or stop

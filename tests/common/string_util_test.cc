@@ -95,5 +95,39 @@ TEST(StringUtilTest, ParseInt64RejectsOutOfRange) {
             std::string::npos);
 }
 
+TEST(StringUtilTest, ParseDoubleAcceptsWholeNumbersInRange) {
+  EXPECT_EQ(ParseDouble("5", 0.0, 10.0, "--s").ValueOrDie(), 5.0);
+  EXPECT_EQ(ParseDouble("0.25", 0.0, 1.0, "--s").ValueOrDie(), 0.25);
+  EXPECT_EQ(ParseDouble("-1.5e2", -200.0, 0.0, "--s").ValueOrDie(), -150.0);
+  EXPECT_EQ(ParseDouble("1e-3", 0.001, 1.0, "--s").ValueOrDie(), 0.001);
+}
+
+TEST(StringUtilTest, ParseDoubleRejectsPartialMalformedAndNonFinite) {
+  for (const char* text : {"5x", "", " 5", "5 ", "+5", "nan", "NaN", "inf",
+                           "-inf", "infinity", "0x10", "abc", "1e"}) {
+    const auto parsed = ParseDouble(text, -1e9, 1e9, "--stats-interval-s");
+    ASSERT_FALSE(parsed.ok()) << "'" << text << "'";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument());
+    EXPECT_EQ(parsed.status().message().rfind("--stats-interval-s", 0), 0u)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(StringUtilTest, ParseDoubleRejectsOutOfRange) {
+  EXPECT_TRUE(ParseDouble("0", 0.001, 10.0, "--s")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseDouble("10.5", 0.001, 10.0, "--s")
+                  .status()
+                  .IsInvalidArgument());
+  for (const char* text : {"1e400", "-1e400"}) {
+    const auto overflow = ParseDouble(text, -1e300, 1e300, "--s");
+    ASSERT_FALSE(overflow.ok()) << text;
+    EXPECT_NE(overflow.status().message().find("must be in"),
+              std::string::npos)
+        << overflow.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace telco

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,7 +31,6 @@
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/flight_recorder.h"
 #include "common/telemetry/trace.h"
-#include "ml/binned_forest.h"
 #include "ml/serialize.h"
 #include "serve/metrics_endpoint.h"
 #include "serve/model_router.h"
@@ -549,9 +550,6 @@ TEST(TcpServeTest, StatsListsRoutesWithPerRouteCounters) {
   EXPECT_EQ(shadow_route.NumberOr("queue_depth", -1), 0.0) << line;
   EXPECT_EQ(shadow_route.NumberOr("rejected", -1), 0.0) << line;
   EXPECT_NE(shadow_route.StringOr("fingerprint", ""), "") << line;
-  // Every route reports the engine it scores with ("exact"/"binned").
-  const std::string engine = shadow_route.StringOr("engine", "");
-  EXPECT_TRUE(engine == "exact" || engine == "binned") << line;
   server.Shutdown();
 }
 
@@ -830,11 +828,12 @@ TEST(TcpServeTest, ObservabilitySoakUnderSwapStorm) {
   std::remove(jsonl_path.c_str());
 }
 
-// The binned integer-compare engine behind the same wire protocol must
-// produce byte-identical responses to the exact engine: same rows
-// scored under each engine in turn, then the response lines compared.
+// The binned integer-compare engine behind the wire protocol must
+// answer with the exact per-row score: each response's score bits equal
+// the snapshot's pointer-walk Score(row) bits.
 TEST(TcpServeTest, BinnedEngineWireParityWithExact) {
   auto snapshot = MakeSnapshot(7901, "engine-parity");
+  ASSERT_NE(snapshot->forest().binned(), nullptr);
   const Dataset data = ml_testing::LinearlySeparable(120, 7902);
 
   ModelRouter router;
@@ -842,34 +841,30 @@ TEST(TcpServeTest, BinnedEngineWireParityWithExact) {
   TcpScoringServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
-  const ForestEngine saved = DefaultForestEngine();
-  std::vector<std::string> lines_by_engine[2];
-  const ForestEngine engines[2] = {ForestEngine::kExact,
-                                   ForestEngine::kBinned};
   const uint64_t binned_rows_before =
       CounterValue("ml.binned_forest.batch_rows");
-  for (int e = 0; e < 2; ++e) {
-    SetDefaultForestEngine(engines[e]);
-    TcpClient client;
-    client.Connect(server.port());
-    std::string stream;
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      stream += ScoreFrame(r + 1, static_cast<int64_t>(r), "", data.Row(r));
-    }
-    client.SendAll(stream);
-    client.HalfClose();
-    std::string line;
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      ASSERT_TRUE(client.RecvLine(&line)) << "EOF before response " << r;
-      EXPECT_EQ(ParseJson(line)->StringOr("error", ""), "") << line;
-      lines_by_engine[e].push_back(line);
-    }
-    EXPECT_TRUE(client.AtEof());
+  TcpClient client;
+  client.Connect(server.port());
+  std::string stream;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    stream += ScoreFrame(r + 1, static_cast<int64_t>(r), "", data.Row(r));
   }
-  SetDefaultForestEngine(saved);
-
-  EXPECT_EQ(lines_by_engine[0], lines_by_engine[1]);
-  // Proof the second pass actually took the binned path.
+  client.SendAll(stream);
+  client.HalfClose();
+  std::string line;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    ASSERT_TRUE(client.RecvLine(&line)) << "EOF before response " << r;
+    Result<JsonValue> doc = ParseJson(line);
+    ASSERT_TRUE(doc.ok()) << line;
+    EXPECT_EQ(doc->StringOr("error", ""), "") << line;
+    const JsonValue* score = doc->Find("score");
+    ASSERT_NE(score, nullptr) << line;
+    EXPECT_EQ(std::bit_cast<uint64_t>(score->number),
+              std::bit_cast<uint64_t>(snapshot->Score(data.Row(r))))
+        << "row " << r << ": " << line;
+  }
+  EXPECT_TRUE(client.AtEof());
+  // Proof the batches actually took the binned path.
   EXPECT_GE(CounterValue("ml.binned_forest.batch_rows"),
             binned_rows_before + data.num_rows());
   server.Shutdown();
@@ -906,7 +901,8 @@ TEST(TcpServeTest, IdleReaperClosesStalledConnectionOnly) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(2500);
   size_t sent = 0;
   while (std::chrono::steady_clock::now() < deadline) {
-    active.SendAll(ScoreFrame(++sent, 1, "", data.Row(sent % 5)));
+    ++sent;
+    active.SendAll(ScoreFrame(sent, 1, "", data.Row(sent % 5)));
     ASSERT_TRUE(active.RecvLine(&line)) << "active client lost response";
     EXPECT_EQ(ParseJson(line)->StringOr("error", ""), "") << line;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));

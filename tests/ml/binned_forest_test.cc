@@ -1,11 +1,12 @@
 // Binned-forest parity suite: the integer-compare engine must be
-// bit-identical to the exact FlatForest (and hence to the pointer walk)
-// — for fitted RF and GBDT ensembles, any batch size and thread count,
-// rows landing exactly on split thresholds, adversarial values (NaN,
-// +/-inf, denormals, -0.0), single-node trees, the uint16 wide-code
-// fallback, and the serialize round-trip. Equality is asserted on the
-// double's bit pattern, not an epsilon: agreeing on the predicted class
-// is implied by agreeing on every score bit.
+// bit-identical to the pointer walk (per-row PredictProba, the exact
+// double-compare reference) — for fitted RF and GBDT ensembles, any
+// batch size and thread count, rows landing exactly on split thresholds,
+// adversarial values (NaN, +/-inf, denormals, -0.0), single-node trees,
+// uint16 wide codes, forests too wide to bin (which fall back to the
+// pointer walk), and the serialize round-trip. Equality is asserted on
+// the double's bit pattern, not an epsilon: agreeing on the predicted
+// class is implied by agreeing on every score bit.
 
 #include "ml/binned_forest.h"
 
@@ -31,14 +32,14 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
 
-void ExpectBitEqual(const std::vector<double>& binned,
-                    const std::vector<double>& exact) {
-  ASSERT_EQ(binned.size(), exact.size());
-  for (size_t i = 0; i < binned.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(binned[i]),
-              std::bit_cast<uint64_t>(exact[i]))
-        << "row " << i << ": binned " << binned[i] << " vs exact "
-        << exact[i];
+void ExpectBitEqual(const std::vector<double>& batch,
+                    const std::vector<double>& pointer) {
+  ASSERT_EQ(batch.size(), pointer.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(batch[i]),
+              std::bit_cast<uint64_t>(pointer[i]))
+        << "row " << i << ": batch " << batch[i] << " vs pointer "
+        << pointer[i];
   }
 }
 
@@ -52,17 +53,24 @@ std::vector<double> PointerWalk(const Classifier& model,
   return out;
 }
 
-// Compares the binned engine against the exact engine and the pointer
-// walk across thread counts for one row set.
-void ExpectEngineParity(const FlatForest& exact, const BinnedForest& binned,
-                        const Classifier& model, const FeatureMatrix& rows) {
-  const std::vector<double> oracle = exact.PredictProba(rows, nullptr);
-  ExpectBitEqual(oracle, PointerWalk(model, rows));
+// Compares the binned engine, directly and through the model's batch
+// entry point, against the pointer walk across thread counts for one
+// row set.
+void ExpectEngineParity(const BinnedForest& binned, const Classifier& model,
+                        const FeatureMatrix& rows) {
+  const std::vector<double> oracle = PointerWalk(model, rows);
   ThreadPool pool1(1);
   ThreadPool pool3(3);
   ExpectBitEqual(binned.PredictProba(rows, nullptr), oracle);
   ExpectBitEqual(binned.PredictProba(rows, &pool1), oracle);
   ExpectBitEqual(binned.PredictProba(rows, &pool3), oracle);
+  ExpectBitEqual(model.PredictProbaBatch(rows, &pool3), oracle);
+}
+
+uint64_t CounterValue(const char* name) {
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const MetricValue* m = snapshot.Find(name);
+  return m != nullptr ? m->counter : 0;
 }
 
 TEST(BinnedForestTest, RandomForestParityAcrossBatchSizesAndThreads) {
@@ -72,10 +80,13 @@ TEST(BinnedForestTest, RandomForestParityAcrossBatchSizesAndThreads) {
   options.min_samples_split = 20;
   RandomForest forest(options);
   ASSERT_TRUE(forest.Fit(train).ok());
-  ASSERT_NE(forest.flat(), nullptr);
   ASSERT_NE(forest.binned(), nullptr);
   EXPECT_EQ(forest.binned()->num_trees(), forest.num_trees());
-  EXPECT_EQ(forest.binned()->num_nodes(), forest.flat()->num_nodes());
+  size_t tree_nodes = 0;
+  for (const ClassificationTree& tree : forest.trees()) {
+    tree_nodes += tree.num_nodes();
+  }
+  EXPECT_EQ(forest.binned()->num_nodes(), tree_nodes);
   // Trees train on 64-bin histograms, so every feature has few distinct
   // thresholds and the narrow uint8 code path is in play.
   EXPECT_FALSE(forest.binned()->wide_codes());
@@ -83,8 +94,7 @@ TEST(BinnedForestTest, RandomForestParityAcrossBatchSizesAndThreads) {
   for (const size_t n : {size_t{1}, size_t{7}, size_t{63}, size_t{64},
                          size_t{65}, size_t{200}, size_t{600}}) {
     const Dataset rows = ml_testing::LinearlySeparable(n, 903 + n);
-    ExpectEngineParity(*forest.flat(), *forest.binned(), forest,
-                       rows.Matrix());
+    ExpectEngineParity(*forest.binned(), forest, rows.Matrix());
   }
 }
 
@@ -97,12 +107,12 @@ TEST(BinnedForestTest, GbdtParityAcrossBatchSizesAndThreads) {
   options.subsample = 0.8;
   Gbdt model(options);
   ASSERT_TRUE(model.Fit(train).ok());
-  ASSERT_NE(model.flat(), nullptr);
   ASSERT_NE(model.binned(), nullptr);
+  EXPECT_EQ(model.binned()->num_trees(), model.num_trees());
 
   for (const size_t n : {size_t{1}, size_t{64}, size_t{129}, size_t{400}}) {
     const Dataset rows = ml_testing::XorDataset(n, 905 + n);
-    ExpectEngineParity(*model.flat(), *model.binned(), model, rows.Matrix());
+    ExpectEngineParity(*model.binned(), model, rows.Matrix());
   }
 }
 
@@ -167,13 +177,13 @@ TEST(BinnedForestTest, RowsExactlyOnSplitThresholdsBinIdentically) {
       {1.5, kNaN},
   };
   for (const auto& r : raw) rows.AddRow(r, 0);
-  ExpectEngineParity(*forest.flat(), *forest.binned(), forest,
-                     rows.Matrix());
+  ExpectEngineParity(*forest.binned(), forest, rows.Matrix());
 }
 
-// The flat-forest adversarial suite, replayed against the binned engine:
-// a single-node (root = leaf) tree, +/-inf and denormal thresholds, and
-// asymmetric subtrees.
+// Every adversarial threshold and topology the traversal can meet: a
+// single-node (root = leaf) tree, +/-inf and denormal thresholds, and
+// asymmetric subtrees. Import gives exact control over every stored
+// double.
 RandomForest AdversarialForest() {
   using Node = ClassificationTree::SerializedNode;
   std::vector<ClassificationTree> trees;
@@ -236,8 +246,37 @@ TEST(BinnedForestTest, AdversarialRowsBitIdenticalToExactEngine) {
       {kNaN, 1.0, -kInf},
   };
   for (const auto& r : raw) rows.AddRow(r, 0);
-  ExpectEngineParity(*forest.flat(), *forest.binned(), forest,
-                     rows.Matrix());
+  ExpectEngineParity(*forest.binned(), forest, rows.Matrix());
+}
+
+TEST(BinnedForestTest, SingleLeafGbdtAndAdversarialRowsMatch) {
+  const Dataset train = ml_testing::LinearlySeparable(400, 907);
+  GbdtOptions options;
+  options.num_trees = 8;
+  options.max_depth = 0;  // every tree is a single leaf
+  Gbdt stub(options);
+  ASSERT_TRUE(stub.Fit(train).ok());
+  for (const RegressionTree& tree : stub.trees()) {
+    EXPECT_EQ(tree.num_nodes(), 1u);
+  }
+
+  GbdtOptions deep = options;
+  deep.max_depth = 5;
+  deep.min_samples_split = 10;
+  Gbdt model(deep);
+  ASSERT_TRUE(model.Fit(train).ok());
+
+  Dataset rows({"x0", "x1", "x2"});
+  rows.AddRow(std::vector<double>{kNaN, kInf, -kInf}, 0);
+  rows.AddRow(std::vector<double>{kDenormal, -kDenormal, kNaN}, 0);
+  rows.AddRow(std::vector<double>{0.0, -0.0, 1e300}, 0);
+
+  for (const Classifier* m :
+       {static_cast<const Classifier*>(&stub),
+        static_cast<const Classifier*>(&model)}) {
+    ExpectBitEqual(m->PredictProbaBatch(rows.Matrix(), nullptr),
+                   PointerWalk(*m, rows.Matrix()));
+  }
 }
 
 TEST(BinnedForestTest, SingleNodeForestScoresConstant) {
@@ -259,13 +298,12 @@ TEST(BinnedForestTest, SingleNodeForestScoresConstant) {
   EXPECT_EQ(forest->binned()->num_features(), 0u);
 
   const Dataset rows = ml_testing::LinearlySeparable(70, 909);
-  ExpectEngineParity(*forest->flat(), *forest->binned(), *forest,
-                     rows.Matrix());
+  ExpectEngineParity(*forest->binned(), *forest, rows.Matrix());
 }
 
 // A right-descending chain splitting one feature at `count` ascending
 // integer thresholds; forces the wide (uint16) code path when count >
-// 255.
+// 255, and cannot be binned at all when count > 65535.
 RandomForest ChainForest(int count) {
   using Node = ClassificationTree::SerializedNode;
   std::vector<Node> nodes;
@@ -305,8 +343,7 @@ TEST(BinnedForestTest, WideThresholdFeatureUsesUint16Codes) {
     rows.AddRow(std::vector<double>{i + 0.5}, 0);
   }
   rows.AddRow(std::vector<double>{kNaN}, 0);
-  ExpectEngineParity(*forest.flat(), *forest.binned(), forest,
-                     rows.Matrix());
+  ExpectEngineParity(*forest.binned(), forest, rows.Matrix());
 }
 
 TEST(BinnedForestTest, NarrowChainStaysUint8) {
@@ -317,8 +354,53 @@ TEST(BinnedForestTest, NarrowChainStaysUint8) {
   for (int i = 0; i < 256; ++i) {
     rows.AddRow(std::vector<double>{i - 0.25}, 0);
   }
-  ExpectEngineParity(*forest.flat(), *forest.binned(), forest,
-                     rows.Matrix());
+  ExpectEngineParity(*forest.binned(), forest, rows.Matrix());
+}
+
+// 65536 distinct thresholds on one feature do not fit uint16 codes (the
+// NaN sentinel needs one more), so the compile falls back instead of
+// truncating: no binned engine, one counted fallback, and batch scoring
+// walks the trees bit-identically for any pool.
+TEST(BinnedForestTest, UnbinnableForestScoresThroughPointerWalk) {
+  const uint64_t fallbacks_before =
+      CounterValue("ml.binned_forest.compile_fallbacks");
+  const RandomForest forest = ChainForest(0x10000);
+  EXPECT_EQ(forest.binned(), nullptr);
+  EXPECT_EQ(CounterValue("ml.binned_forest.compile_fallbacks"),
+            fallbacks_before + 1);
+
+  Dataset rows({"f0"});
+  for (const double v : {-1.0, 0.0, 0.5, 255.0, 255.5, 256.0, 40000.0,
+                         65534.5, 65535.0, 65535.5, 1e9, -kInf, kNaN}) {
+    rows.AddRow(std::vector<double>{v}, 0);
+  }
+  const std::vector<double> oracle = PointerWalk(forest, rows.Matrix());
+  ThreadPool pool4(4);
+  ExpectBitEqual(forest.PredictProbaBatch(rows.Matrix(), nullptr), oracle);
+  ExpectBitEqual(forest.PredictProbaBatch(rows.Matrix(), &pool4), oracle);
+}
+
+// Malformed topology is an error, not a fallback: a child pointing back
+// at its ancestor would never terminate in the pointer walk either.
+TEST(BinnedForestTest, CyclicTreeFailsToCompile) {
+  using Node = ClassificationTree::SerializedNode;
+  const std::vector<Node> nodes{
+      {0, 0.5, 1, 0, -1},  // right child is the root itself
+      {-1, 0.0, -1, -1, 0},
+  };
+  auto tree = ClassificationTree::Import(nodes, {0.5, 0.5}, 2);
+  ASSERT_TRUE(tree.ok()) << "Import checks child ranges, not cycles";
+  std::vector<ClassificationTree> trees;
+  trees.push_back(std::move(*tree));
+  const uint64_t fallbacks_before =
+      CounterValue("ml.binned_forest.compile_fallbacks");
+  auto forest =
+      RandomForest::FromParts(RandomForestOptions{}, 2, std::move(trees), {});
+  ASSERT_FALSE(forest.ok());
+  EXPECT_TRUE(forest.status().IsInvalidArgument())
+      << forest.status().ToString();
+  EXPECT_EQ(CounterValue("ml.binned_forest.compile_fallbacks"),
+            fallbacks_before);
 }
 
 TEST(BinnedForestTest, SerializeRoundTripKeepsBinnedEngine) {
@@ -340,49 +422,7 @@ TEST(BinnedForestTest, SerializeRoundTripKeepsBinnedEngine) {
   const Dataset rows = ml_testing::LinearlySeparable(150, 911);
   ExpectBitEqual(loaded->binned()->PredictProba(rows.Matrix(), nullptr),
                  forest.binned()->PredictProba(rows.Matrix(), nullptr));
-  ExpectEngineParity(*loaded->flat(), *loaded->binned(), *loaded,
-                     rows.Matrix());
-}
-
-uint64_t BinnedBatchRows() {
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const MetricValue* m = snapshot.Find("ml.binned_forest.batch_rows");
-  return m != nullptr ? m->counter : 0;
-}
-
-TEST(BinnedForestTest, EngineKnobSelectsDispatch) {
-  const Dataset train = ml_testing::LinearlySeparable(200, 912);
-  RandomForestOptions options;
-  options.num_trees = 7;
-  options.min_samples_split = 20;
-  RandomForest forest(options);
-  ASSERT_TRUE(forest.Fit(train).ok());
-  const Dataset rows = ml_testing::LinearlySeparable(50, 913);
-
-  const ForestEngine saved = DefaultForestEngine();
-  SetDefaultForestEngine(ForestEngine::kExact);
-  const uint64_t before_exact = BinnedBatchRows();
-  const std::vector<double> via_exact =
-      forest.PredictProbaBatch(rows.Matrix(), nullptr);
-  EXPECT_EQ(BinnedBatchRows(), before_exact)
-      << "exact engine must not touch the binned arena";
-
-  SetDefaultForestEngine(ForestEngine::kBinned);
-  const uint64_t before_binned = BinnedBatchRows();
-  const std::vector<double> via_binned =
-      forest.PredictProbaBatch(rows.Matrix(), nullptr);
-  EXPECT_EQ(BinnedBatchRows(), before_binned + rows.num_rows());
-  SetDefaultForestEngine(saved);
-
-  ExpectBitEqual(via_binned, via_exact);
-}
-
-TEST(BinnedForestTest, ParseAndNameRoundTrip) {
-  EXPECT_EQ(*ParseForestEngine("exact"), ForestEngine::kExact);
-  EXPECT_EQ(*ParseForestEngine("binned"), ForestEngine::kBinned);
-  EXPECT_FALSE(ParseForestEngine("fast").ok());
-  EXPECT_EQ(ForestEngineName(ForestEngine::kExact), "exact");
-  EXPECT_EQ(ForestEngineName(ForestEngine::kBinned), "binned");
+  ExpectEngineParity(*loaded->binned(), *loaded, rows.Matrix());
 }
 
 TEST(BinnedForestTest, EmptyBatchScoresNothing) {
@@ -392,6 +432,7 @@ TEST(BinnedForestTest, EmptyBatchScoresNothing) {
   EXPECT_TRUE(forest.binned()->PredictProba(empty, nullptr).empty());
   ThreadPool pool(2);
   EXPECT_TRUE(forest.binned()->PredictProba(empty, &pool).empty());
+  EXPECT_TRUE(forest.PredictProbaBatch(empty, &pool).empty());
 }
 
 }  // namespace

@@ -57,6 +57,16 @@ grep -q -- "--trees" "$WORKDIR/err.txt" || {
   echo "--trees error does not name the flag"; cat "$WORKDIR/err.txt"
   exit 1; }
 
+# Float flags parse whole as well: "5x" is not a 5 s interval. The flag
+# is checked before the model loads, so the error must name it.
+if "$CLI" serve --model /nonexistent --stats-out "$WORKDIR/stats.jsonl" \
+    --stats-interval-s 5x < /dev/null 2> "$WORKDIR/err.txt"; then
+  echo "--stats-interval-s 5x accepted"; exit 1
+fi
+grep -q -- "--stats-interval-s" "$WORKDIR/err.txt" || {
+  echo "--stats-interval-s error does not name the flag"
+  cat "$WORKDIR/err.txt"; exit 1; }
+
 # Error handling: unknown flag and missing warehouse must fail.
 if "$CLI" evaluate --warehouse "$WORKDIR/wh" --month 3 --bogus 1 \
     2> /dev/null; then

@@ -48,14 +48,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -246,12 +244,9 @@ Status RunDatagen(Flags& flags) {
   SimConfig config;
   const std::string scale = flags.Get("scale-factor", "");
   if (!scale.empty()) {
-    char* end = nullptr;
-    config.scale_factor = std::strtod(scale.c_str(), &end);
-    if (end == scale.c_str() || *end != '\0') {
-      return Status::InvalidArgument(
-          "--scale-factor expects a number, got '" + scale + "'");
-    }
+    // SF 1000 is ~2.1 billion customers; SF 0 defers to --customers.
+    TELCO_ASSIGN_OR_RETURN(config.scale_factor,
+                           ParseDouble(scale, 0.0, 1000.0, "--scale-factor"));
   }
   // Left at the default when absent, so --scale-factor decides.
   TELCO_ASSIGN_OR_RETURN(
@@ -410,7 +405,6 @@ Status RunServe(Flags& flags) {
   TELCO_ASSIGN_OR_RETURN(const int64_t idle_timeout_s,
                          flags.GetInt("idle-timeout-s", 300, 0, kIntMax));
   const std::string named_models = flags.Get("models", "");
-  const std::string engine = flags.Get("engine", "");
   TELCO_ASSIGN_OR_RETURN(const int64_t metrics_port,
                          flags.GetInt("metrics-port", -1, -1, 65535));
   const std::string stats_out = flags.Get("stats-out", "");
@@ -426,25 +420,16 @@ Status RunServe(Flags& flags) {
   }
   double stats_interval_s = 10.0;
   if (!stats_interval.empty()) {
-    stats_interval_s = std::strtod(stats_interval.c_str(), nullptr);
-    if (!(stats_interval_s > 0.0)) {
-      return Status::InvalidArgument("--stats-interval-s must be > 0");
-    }
+    // Bounded above so the recorder's wait stays a representable
+    // steady_clock duration.
+    TELCO_ASSIGN_OR_RETURN(
+        stats_interval_s,
+        ParseDouble(stats_interval, 0.001, 86400.0, "--stats-interval-s"));
   }
   if (trace_sample > 0 && trace_out.empty()) {
     return Status::InvalidArgument(
         "--trace-sample needs --trace-out PATH (the trace recorder only "
         "runs when an export destination is set)");
-  }
-
-  if (!engine.empty()) {
-    // Process-wide: every route's forest scores through the chosen
-    // engine (overrides the TELCO_FOREST_ENGINE env default).
-    TELCO_ASSIGN_OR_RETURN(const ForestEngine parsed,
-                           ParseForestEngine(engine));
-    SetDefaultForestEngine(parsed);
-    std::fprintf(stderr, "forest engine: %s\n",
-                 std::string(ForestEngineName(parsed)).c_str());
   }
 
   std::unique_ptr<ThreadPool> owned_pool;
@@ -515,36 +500,20 @@ Status RunServe(Flags& flags) {
   ModelRouter router(router_options);
   router.Publish("", std::move(snapshot));
   if (!named_models.empty()) {
-    // --models segment-a=/path/a.rf,segment-b=/path/b.rf:exact
-    // A ":exact" / ":binned" suffix pins that route's forest engine
-    // (anything else after ':' is part of the path).
+    // --models segment-a=/path/a.rf,segment-b=/path/b.rf
     for (const std::string& entry : Split(named_models, ',')) {
       const size_t eq = entry.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 == entry.size()) {
         return Status::InvalidArgument(
-            "--models expects name=path[:engine][,name=path...], got '" +
-            entry + "'");
+            "--models expects name=path[,name=path...], got '" + entry +
+            "'");
       }
       const std::string name = entry.substr(0, eq);
-      std::string path = entry.substr(eq + 1);
-      std::optional<ForestEngine> route_engine;
-      const size_t colon = path.rfind(':');
-      if (colon != std::string::npos) {
-        const Result<ForestEngine> parsed =
-            ParseForestEngine(path.substr(colon + 1));
-        if (parsed.ok()) {
-          route_engine = parsed.ValueOrDie();
-          path = path.substr(0, colon);
-        }
-      }
+      const std::string path = entry.substr(eq + 1);
       TELCO_ASSIGN_OR_RETURN(auto named, ModelSnapshot::LoadFromFile(path));
-      router.Publish(name, std::move(named), route_engine);
-      std::fprintf(
-          stderr, "published model '%s' from %s (engine %s)\n", name.c_str(),
-          path.c_str(),
-          route_engine.has_value()
-              ? std::string(ForestEngineName(*route_engine)).c_str()
-              : "default");
+      router.Publish(name, std::move(named));
+      std::fprintf(stderr, "published model '%s' from %s\n", name.c_str(),
+                   path.c_str());
     }
   }
 
@@ -801,10 +770,8 @@ int Usage() {
       "           [--training-months K] [--trees T]\n"
       "  predict  --warehouse DIR --model PATH --month M [--top U]\n"
       "  serve    --model PATH [--batch N] [--queue N] [--window N]\n"
-      "           [--threads N] [--engine exact|binned]\n"
-      "           (NDJSON on stdin/stdout; see README)\n"
-      "           [--tcp-port P] [--readers N]\n"
-      "           [--models n=PATH[:exact|binned],...]  (per-route engine)\n"
+      "           [--threads N]  (NDJSON on stdin/stdout; see README)\n"
+      "           [--tcp-port P] [--readers N] [--models n=PATH,...]\n"
       "           [--idle-timeout-s S]  (0 disables the idle reaper)\n"
       "           (with --tcp-port: epoll TCP front-end with named-model\n"
       "           routing; port 0 picks an ephemeral port)\n"
